@@ -403,18 +403,28 @@ class BatchOnOffSampler:
         if n_ticks < 0:
             raise NetworkError("cannot sample a negative number of ticks")
         np = self._np
-        levels = np.empty(n_ticks, dtype=np.int64)
         on = self.on
-        chain = self._chain
-        for i in range(n_ticks):
-            levels[i] = on
-            if self._p_off > 0.0:
-                on += int(chain.binomial(self.sources - on, self._p_on)) - int(
-                    chain.binomial(on, self._p_off)
-                )
-        self.on = on
+        p_off = self._p_off
+        if p_off > 0.0:
+            # Each binomial's n is the level the previous tick drew, so the
+            # chain cannot vectorize without changing the sequence; only
+            # the loop overhead is trimmed (bound method and parameters
+            # hoisted, levels collected in a plain list).
+            binomial = self._chain.binomial
+            p_on = self._p_on
+            sources = self.sources
+            levels = [0] * n_ticks
+            for i in range(n_ticks):
+                levels[i] = on
+                on += binomial(sources - on, p_on) - binomial(on, p_off)
+            self.on = int(on)
+        else:
+            # on_fraction == 1: the chain never leaves all-ON, no draws.
+            levels = [on] * n_ticks
         self.ticks_sampled += n_ticks
-        lam = levels * (self.burst_rate_per_ms * self.tick_ms)
+        lam = np.array(levels, dtype=np.int64) * (
+            self.burst_rate_per_ms * self.tick_ms
+        )
         return self._counts.poisson(lam)
 
     def tick_bytes(self, n_ticks: int):
@@ -573,8 +583,13 @@ class BatchClosedLoopSampler:
             busy = min(blocked, self.echo_servers)
             mean = busy * (self.tick_ms / self.echo_ms)
             done = min(blocked, int(self._echo.poisson(mean))) if busy else 0
+        # binomial(n, 0.0) returns 0 without drawing, so skipping it when
+        # bursts are single keystrokes leaves the echo stream unchanged.
+        continue_prob = self.continue_prob
         resume = (
-            int(self._echo.binomial(done, self.continue_prob)) if done else 0
+            int(self._echo.binomial(done, continue_prob))
+            if done and continue_prob
+            else 0
         )
         self.thinking = thinking + done - resume - t2y
         self.typing = typing + t2y + resume - keys

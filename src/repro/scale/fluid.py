@@ -24,11 +24,24 @@ service time (the differential-equivalence suite pins this at small N).
 
 Integration is O(ticks crossed), amortized O(total ticks) per run —
 independent of the population size.
+
+**Costs and exactness.**  The constructor converts a numpy tick array to
+Python floats with one ``tolist()`` call and derives the inflow ratios
+from that list — O(ticks), with no numpy scalar boxed per tick.
+:meth:`offered_bytes` forms its per-tick overlap terms with numpy, one
+elementwise operation per step of the scalar formula, and sums them left
+to right with ``np.add.accumulate``: every term and every partial sum is
+the float the plain loop produces, so reported utilizations stay
+bit-identical.  A prefix-sum table would answer windows in O(1) but
+subtracts two long sums, and ``np.sum`` (pairwise) or ``math.fsum``
+(exact) round differently; all three change the last bits written to the
+scale CSVs, so none is used.
 """
 
 from __future__ import annotations
 
 from ..errors import NetworkError
+from ..net.loadgen import _numpy
 
 
 class FluidBackground:
@@ -62,9 +75,12 @@ class FluidBackground:
         self.tick_ms = tick_ms
         self.start_ms = start_ms
         capacity = link.bytes_per_ms
-        # Inflow ratio per tick: background work-ms arriving per elapsed ms.
-        self._rho = [float(b) / tick_ms / capacity for b in tick_bytes]
+        # One tolist() instead of boxing a numpy scalar per tick.
+        if hasattr(tick_bytes, "tolist"):
+            tick_bytes = tick_bytes.tolist()
         self._bytes = [float(b) for b in tick_bytes]
+        # Inflow ratio per tick: background work-ms arriving per elapsed ms.
+        self._rho = [b / tick_ms / capacity for b in self._bytes]
         self.offered_bytes_total = float(sum(self._bytes))
         self._w = 0.0  # unfinished work (ms of transmission) at time _t
         self._t = start_ms
@@ -91,14 +107,15 @@ class FluidBackground:
             return
         w = self._w
         tick = self.tick_ms
+        start = self.start_ms
         rho = self._rho
         n = len(rho)
         # Index of the tick containing t (relative to start_ms); on an
         # exact boundary this is the tick that *starts* there.
-        i = int((t - self.start_ms) / tick)
+        i = int((t - start) / tick)
         peak = self.peak_backlog_ms
         while t < now:
-            seg_end = self.start_ms + (i + 1) * tick
+            seg_end = start + (i + 1) * tick
             if seg_end > now:
                 seg_end = now
             dt = seg_end - t
@@ -138,12 +155,14 @@ class FluidBackground:
         """
         if tick_bytes < 0:
             raise NetworkError("offered bytes cannot be negative")
-        if self._t > self.end_ms:
+        tick = self.tick_ms
+        rho = self._rho
+        if self._t > self.start_ms + tick * len(rho):  # past end_ms
             raise NetworkError(
                 "cannot append a background tick the integrator has passed"
             )
         b = float(tick_bytes)
-        self._rho.append(b / self.tick_ms / self.link.bytes_per_ms)
+        rho.append(b / tick / self.link.bytes_per_ms)
         self._bytes.append(b)
         self.offered_bytes_total += b
 
@@ -158,18 +177,30 @@ class FluidBackground:
     # -- reporting helpers -------------------------------------------------
 
     def offered_bytes(self, t0: float, t1: float) -> float:
-        """Background bytes offered over ``[t0, t1)`` (pro-rata at edges)."""
+        """Background bytes offered over ``[t0, t1)`` (pro-rata at edges).
+
+        Each tick ``i`` covers ``[lo, lo + tick)`` with
+        ``lo = start_ms + i * tick`` and contributes
+        ``b * (overlap / tick)`` when its overlap with the window is
+        positive.  The terms are computed elementwise and summed in tick
+        order by ``np.add.accumulate``, a sequential running total, so the
+        result equals the scalar loop ``total += term`` bit for bit
+        (``+ 0.0`` turns the accumulator's possible ``-0.0`` into the
+        loop's ``0.0``).  O(ticks) in numpy, no Python per-tick work.
+        """
         if t1 <= t0:
             raise NetworkError("empty offered_bytes window")
-        total = 0.0
+        np = _numpy()
         tick = self.tick_ms
-        for i, b in enumerate(self._bytes):
-            lo = self.start_ms + i * tick
-            hi = lo + tick
-            overlap = min(hi, t1) - max(lo, t0)
-            if overlap > 0:
-                total += b * (overlap / tick)
-        return total
+        b = np.array(self._bytes, dtype=np.float64)
+        lo = self.start_ms + np.arange(len(b), dtype=np.float64) * tick
+        hi = lo + tick
+        overlap = np.minimum(hi, t1) - np.maximum(lo, t0)
+        hit = overlap > 0
+        terms = b[hit] * (overlap[hit] / tick)
+        if not len(terms):
+            return 0.0
+        return float(np.add.accumulate(terms)[-1]) + 0.0
 
     def utilization(self, t0: float, t1: float) -> float:
         """Background offered load over ``[t0, t1)`` as a fraction of capacity."""

@@ -9,6 +9,7 @@ latency by event duration* reduction behind Figure 2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -134,17 +135,23 @@ def cumulative_latency_by_duration(
     For each threshold *t*, sums the durations of all busy events whose
     individual duration is ``<= t``, returning **seconds** (the paper's
     y-axis).  The curve's final value is the aggregate idle-state load.
+
+    One running-total pass over the sorted durations, then a
+    ``bisect_right`` per threshold (in any order): O((n + thresholds)
+    log n).  Each prefix total adds the same terms in the same order as
+    summing the durations ``<= t`` from scratch, so the floats are
+    identical to that direct loop.
     """
-    out: List[float] = []
     ordered = sorted(durations_ms)
-    for threshold in thresholds_ms:
-        total_ms = 0.0
-        for duration in ordered:
-            if duration > threshold:
-                break
-            total_ms += duration
-        out.append(total_ms / 1000.0)
-    return out
+    prefix_ms = [0.0]
+    total_ms = 0.0
+    for duration in ordered:
+        total_ms += duration
+        prefix_ms.append(total_ms)
+    return [
+        prefix_ms[bisect_right(ordered, threshold)] / 1000.0
+        for threshold in thresholds_ms
+    ]
 
 
 def jitter(xs: Sequence[float]) -> float:

@@ -321,6 +321,189 @@ class TestClosedLoopInvariants:
             sampler.step(completions=-1)
 
 
+def reference_onoff_tick_counts(sampler, n_ticks):
+    """The original on-off chain loop, frozen as a sequence oracle."""
+    levels = np.empty(n_ticks, dtype=np.int64)
+    on = sampler.on
+    chain = sampler._chain
+    for i in range(n_ticks):
+        levels[i] = on
+        if sampler._p_off > 0.0:
+            on += int(chain.binomial(sampler.sources - on, sampler._p_on)) - int(
+                chain.binomial(on, sampler._p_off)
+            )
+    sampler.on = on
+    sampler.ticks_sampled += n_ticks
+    lam = levels * (sampler.burst_rate_per_ms * sampler.tick_ms)
+    return sampler._counts.poisson(lam)
+
+
+def reference_closed_step(sampler, completions=None):
+    """The original ``BatchClosedLoopSampler.step``, frozen as an oracle."""
+    thinking, typing, blocked = sampler.thinking, sampler.typing, sampler.blocked
+    sampler.thinking_ticks += thinking
+    sampler.typing_ticks += typing
+    sampler.blocked_ticks += blocked
+    chain = sampler._chain
+    t2y = int(chain.binomial(thinking, sampler.p_think)) if thinking else 0
+    keys = int(chain.binomial(typing, sampler.p_type)) if typing else 0
+    if completions is not None:
+        done = min(int(completions), blocked)
+    elif sampler.echo_servers is None:
+        done = int(sampler._echo.binomial(blocked, sampler.p_echo)) if blocked else 0
+    else:
+        busy = min(blocked, sampler.echo_servers)
+        mean = busy * (sampler.tick_ms / sampler.echo_ms)
+        done = min(blocked, int(sampler._echo.poisson(mean))) if busy else 0
+    resume = (
+        int(sampler._echo.binomial(done, sampler.continue_prob)) if done else 0
+    )
+    sampler.thinking = thinking + done - resume - t2y
+    sampler.typing = typing + t2y + resume - keys
+    sampler.blocked = blocked + keys - done
+    sampler.ticks_sampled += 1
+    sampler.keystrokes_total += keys
+    sampler.completions_total += done
+    return keys, done
+
+
+def assert_same_streams(a, b):
+    """Two generators agree on their state *and* on what they draw next."""
+    assert a.bit_generator.state == b.bit_generator.state
+    assert np.array_equal(a.integers(0, 2**62, size=4), b.integers(0, 2**62, size=4))
+
+
+def onoff_pair(seed, sources, on_fraction, tick_ms, cycle_ms):
+    return [
+        BatchOnOffSampler(
+            0.02,
+            tick_ms,
+            sources=sources,
+            seed=seed,
+            on_fraction=on_fraction,
+            cycle_ms=cycle_ms,
+        )
+        for __ in range(2)
+    ]
+
+
+class TestSequenceIdentity:
+    """The fast loops draw exactly what the original loops drew."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        sources=st.integers(min_value=1, max_value=2_000_000),
+        on_fraction=st.one_of(
+            st.just(1.0), st.floats(min_value=0.001, max_value=1.0)
+        ),
+        tick_ms=st.floats(min_value=0.5, max_value=200.0),
+        cycle_ms=st.floats(min_value=1.0, max_value=5_000.0),
+        start=st.sampled_from(["stationary", "all_off", "all_on"]),
+        batches=st.lists(st.integers(min_value=0, max_value=150), max_size=3),
+    )
+    @settings(**COMMON)
+    def test_onoff_chain_matches_the_original_loop(
+        self, seed, sources, on_fraction, tick_ms, cycle_ms, start, batches
+    ):
+        fast, slow = onoff_pair(seed, sources, on_fraction, tick_ms, cycle_ms)
+        if start == "all_off":
+            fast.on = slow.on = 0
+        elif start == "all_on":
+            fast.on = slow.on = sources
+        for n in batches:
+            got = fast.tick_counts(n)
+            want = reference_onoff_tick_counts(slow, n)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert fast.on == slow.on
+            assert type(fast.on) is int
+        assert fast.ticks_sampled == slow.ticks_sampled
+        assert_same_streams(fast._chain, slow._chain)
+        assert_same_streams(fast._counts, slow._counts)
+
+    @pytest.mark.parametrize("on", ["zero", "sources"])
+    def test_onoff_chain_from_an_absorbing_looking_edge(self, on):
+        # on == 0 makes binomial(0, p_off) a no-draw call; on == sources
+        # does the same for binomial(0, p_on).  Both loops must agree.
+        fast, slow = onoff_pair(5, 40, 0.3, 10.0, 200.0)
+        fast.on = slow.on = 0 if on == "zero" else 40
+        assert np.array_equal(
+            fast.tick_counts(300), reference_onoff_tick_counts(slow, 300)
+        )
+        assert fast.on == slow.on
+        assert_same_streams(fast._chain, slow._chain)
+        assert_same_streams(fast._counts, slow._counts)
+
+    def test_all_on_population_draws_nothing_from_the_chain(self):
+        fast, slow = onoff_pair(9, 1_000, 1.0, 10.0, 500.0)
+        untouched = fast._chain.bit_generator.state
+        assert np.array_equal(
+            fast.tick_counts(50), reference_onoff_tick_counts(slow, 50)
+        )
+        assert fast.on == 1_000
+        assert fast._chain.bit_generator.state == untouched
+        assert_same_streams(fast._counts, slow._counts)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        sources=st.integers(min_value=1, max_value=100_000),
+        burst_keys=st.one_of(
+            st.just(1.0), st.floats(min_value=1.0, max_value=30.0)
+        ),
+        echo=st.sampled_from(["dedicated", "shared", "external"]),
+        ticks=st.integers(min_value=0, max_value=150),
+    )
+    @settings(**COMMON)
+    def test_closed_step_matches_the_original_step(
+        self, seed, sources, burst_keys, echo, ticks
+    ):
+        servers = 3 if echo == "shared" else None
+        fast, slow = (
+            BatchClosedLoopSampler(
+                2_000.0,
+                100.0,
+                50.0,
+                5.0,
+                sources=sources,
+                seed=seed,
+                burst_keys=burst_keys,
+                echo_servers=servers,
+            )
+            for __ in range(2)
+        )
+        for tick in range(ticks):
+            # External mode: an arbitrary completion feed, sometimes
+            # more than are blocked (clamped) and sometimes none.
+            completions = (tick * 7919) % 97 if echo == "external" else None
+            assert fast.step(completions) == reference_closed_step(
+                slow, completions
+            )
+        for name in (
+            "thinking", "typing", "blocked", "ticks_sampled",
+            "keystrokes_total", "completions_total",
+            "thinking_ticks", "typing_ticks", "blocked_ticks",
+        ):
+            assert getattr(fast, name) == getattr(slow, name), name
+        assert_same_streams(fast._chain, slow._chain)
+        assert_same_streams(fast._echo, slow._echo)
+
+
+class TestNumpyNoDrawRule:
+    """The skips above rely on numpy drawing nothing for degenerate
+    binomials; a numpy release that changes this must fail here."""
+
+    @pytest.mark.parametrize(
+        "n, p", [(0, 0.3), (0, 0.0), (0, 1.0), (17, 0.0), (10**6, 0.0)]
+    )
+    def test_degenerate_binomial_consumes_no_state(self, n, p):
+        drawn = np.random.Generator(np.random.PCG64(2024))
+        twin = np.random.Generator(np.random.PCG64(2024))
+        before = drawn.bit_generator.state
+        assert drawn.binomial(n, p) == 0
+        assert drawn.bit_generator.state == before
+        assert_same_streams(drawn, twin)
+
+
 class TestCrossTier:
     def test_batch_totals_match_per_event_generator(self):
         """The two tiers offer the same load, measured end to end."""

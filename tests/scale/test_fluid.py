@@ -4,9 +4,15 @@ Every case here is closed-form: constant-rate ticks make W(t) a sequence
 of linear ramps, so build-up, drain, idle tails, discrete steps, and the
 pro-rata window accounting can all be asserted exactly — no sampling, no
 tolerance.
+
+``TestBitIdentity`` goes further for the reductions that reach the CSVs:
+the vectorized :meth:`FluidBackground.offered_bytes` must return the very
+float the original scalar loop returns, over random ticks and windows.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.net.link import Link
@@ -191,3 +197,179 @@ class TestLinkIntegration:
         fluid = FluidBackground(link, 1.0, [0.0], attach=False)
         with pytest.raises(NetworkError):
             fluid.add_work_ms(-1.0)
+
+
+def reference_offered_bytes(fluid, t0, t1):
+    """The original scalar ``offered_bytes`` loop: the bit-exact oracle."""
+    total = 0.0
+    tick = fluid.tick_ms
+    for i, b in enumerate(fluid._bytes):
+        lo = fluid.start_ms + i * tick
+        hi = lo + tick
+        overlap = min(hi, t1) - max(lo, t0)
+        if overlap > 0:
+            total += b * (overlap / tick)
+    return total
+
+
+def same_float(got, want):
+    """Equal bit for bit, the sign of zero included."""
+    return isinstance(got, float) and got.hex() == want.hex()
+
+
+TICK_BYTES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.integers(min_value=0, max_value=700).map(lambda n: n * 1500.0),
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        # Inexact values, so that any reordering of the sum shows.
+        st.integers(min_value=0, max_value=10**9).map(lambda n: n / 7.0),
+    ),
+    max_size=80,
+)
+TICK_MS = st.one_of(
+    st.sampled_from([0.1, 1.0, 10.0, 50.0]),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+START_MS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5000.0))
+EXACT = dict(
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+    max_examples=60,
+)
+
+
+class TestBitIdentity:
+    @given(
+        tick_bytes=TICK_BYTES,
+        tick=TICK_MS,
+        start=START_MS,
+        lo_frac=st.floats(min_value=-0.5, max_value=1.5),
+        width_frac=st.floats(min_value=1e-6, max_value=2.0),
+    )
+    @settings(**EXACT)
+    def test_random_windows_match_the_scalar_loop(
+        self, tick_bytes, tick, start, lo_frac, width_frac
+    ):
+        link = make_link(bandwidth_mbps=10.0)
+        fluid = FluidBackground(
+            link, tick, tick_bytes, start_ms=start, attach=False
+        )
+        span = tick * max(len(tick_bytes), 1)
+        t0 = start + lo_frac * span
+        t1 = t0 + width_frac * span
+        if t1 <= t0:
+            return
+        got = fluid.offered_bytes(t0, t1)
+        assert same_float(got, reference_offered_bytes(fluid, t0, t1))
+        want_util = reference_offered_bytes(fluid, t0, t1) / (
+            link.bytes_per_ms * (t1 - t0)
+        )
+        assert same_float(fluid.utilization(t0, t1), want_util)
+
+    def test_long_run_matches_the_scalar_loop(self):
+        # A scale-sized horizon: pairwise or compensated summation would
+        # round differently from the running total over this many terms.
+        np = pytest.importorskip("numpy")
+        rng = np.random.Generator(np.random.PCG64(7))
+        ticks = rng.poisson(40.0, size=20_000) * 1500.0 * rng.random(20_000)
+        fluid = FluidBackground(
+            make_link(), 50.0, ticks, start_ms=12.5, attach=False
+        )
+        for t0, t1 in ((0.0, 1e6), (1_000.0, 999_975.3), (333.3, 40_000.0)):
+            got = fluid.offered_bytes(t0, t1)
+            assert same_float(got, reference_offered_bytes(fluid, t0, t1))
+
+    @given(
+        tick_bytes=TICK_BYTES,
+        tick=TICK_MS,
+        start=START_MS,
+        k=st.integers(min_value=-3, max_value=90),
+        m=st.integers(min_value=1, max_value=12),
+    )
+    @settings(**EXACT)
+    def test_tick_boundary_windows_match_the_scalar_loop(
+        self, tick_bytes, tick, start, k, m
+    ):
+        # Windows that start and end exactly on tick edges, including ones
+        # wholly before start_ms and wholly past end_ms.
+        fluid = FluidBackground(
+            make_link(), tick, tick_bytes, start_ms=start, attach=False
+        )
+        t0 = start + k * tick
+        t1 = start + (k + m) * tick
+        if t1 <= t0:
+            return
+        got = fluid.offered_bytes(t0, t1)
+        assert same_float(got, reference_offered_bytes(fluid, t0, t1))
+
+    @given(tick_bytes=TICK_BYTES, tick=TICK_MS, start=START_MS)
+    @settings(**EXACT)
+    def test_windows_outside_the_horizon_match_the_scalar_loop(
+        self, tick_bytes, tick, start
+    ):
+        # Past end_ms the last tick's rounded edge can still overlap by an
+        # ulp; whatever the scalar loop adds there must be added here too.
+        fluid = FluidBackground(
+            make_link(), tick, tick_bytes, start_ms=start, attach=False
+        )
+        before = (start - 3.0 * tick, start)
+        past = (fluid.end_ms, fluid.end_ms + 5.0 * tick)
+        for t0, t1 in (before, past):
+            if t1 <= t0:
+                continue
+            got = fluid.offered_bytes(t0, t1)
+            assert same_float(got, reference_offered_bytes(fluid, t0, t1))
+
+    @given(
+        tick_bytes=TICK_BYTES,
+        tick=TICK_MS,
+        start=START_MS,
+        query_every=st.integers(min_value=1, max_value=5),
+    )
+    @settings(**EXACT)
+    def test_streamed_ticks_match_presampled_and_the_scalar_loop(
+        self, tick_bytes, tick, start, query_every
+    ):
+        link = make_link(bandwidth_mbps=10.0)
+        presampled = FluidBackground(
+            link, tick, tick_bytes, start_ms=start, attach=False
+        )
+        streamed = FluidBackground(link, tick, (), start_ms=start, attach=False)
+        for i, b in enumerate(tick_bytes):
+            streamed.offer_tick(b)
+            if i % query_every == 0:
+                # Queries at each appended tick's start, as the closed-loop
+                # driver makes them, must not disturb the accounting.
+                streamed.queueing_delay_ms(start + i * tick)
+        assert streamed._bytes == presampled._bytes
+        assert streamed._rho == presampled._rho
+        t0, t1 = start, presampled.end_ms + tick
+        got = streamed.offered_bytes(t0, t1)
+        assert same_float(got, reference_offered_bytes(presampled, t0, t1))
+        assert same_float(got, presampled.offered_bytes(t0, t1))
+
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=5000), max_size=80),
+        tick=TICK_MS,
+    )
+    @settings(**EXACT)
+    def test_numpy_and_list_ticks_build_identical_state(self, counts, tick):
+        np = pytest.importorskip("numpy")
+        link = make_link(bandwidth_mbps=10.0)
+        cap = link.bytes_per_ms
+        as_floats = np.array(counts, dtype=np.int64) * 1500.0
+        sources = {
+            "float array": as_floats,
+            "int array": np.array(counts, dtype=np.int64) * 1500,
+            "list": [c * 1500.0 for c in counts],
+        }
+        # The original constructor boxed one numpy scalar per tick.
+        want_bytes = [float(b) for b in as_floats]
+        want_rho = [float(b) / tick / cap for b in as_floats]
+        for name, ticks in sources.items():
+            fluid = FluidBackground(link, tick, ticks, attach=False)
+            assert fluid._bytes == want_bytes, name
+            assert fluid._rho == want_rho, name
+            assert all(type(b) is float for b in fluid._bytes), name
+            assert fluid.offered_bytes_total == float(sum(want_bytes)), name

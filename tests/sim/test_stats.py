@@ -137,6 +137,41 @@ def test_cumulative_latency_is_monotone():
     assert out[-1] == pytest.approx(sum(durations) / 1000.0)
 
 
+def reference_cumulative_latency(durations_ms, thresholds_ms):
+    """The original O(n * thresholds) loop, kept as a bit-exact oracle."""
+    out = []
+    ordered = sorted(durations_ms)
+    for threshold in thresholds_ms:
+        total_ms = 0.0
+        for duration in ordered:
+            if duration > threshold:
+                break
+            total_ms += duration
+        out.append(total_ms / 1000.0)
+    return out
+
+
+finite_ms = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@given(
+    durations=st.lists(
+        st.one_of(finite_ms, st.integers(min_value=0, max_value=10**6)),
+        max_size=60,
+    ),
+    thresholds=st.lists(
+        st.one_of(finite_ms, st.floats(min_value=-10.0, max_value=0.0)),
+        max_size=12,
+    ),
+)
+def test_cumulative_latency_matches_the_direct_loop_exactly(durations, thresholds):
+    # Unsorted thresholds, ties, zeros and integer durations included:
+    # every value must equal the direct loop's float, not approximate it.
+    out = cumulative_latency_by_duration(durations, thresholds)
+    want = reference_cumulative_latency(durations, thresholds)
+    assert [x.hex() for x in out] == [x.hex() for x in want]
+
+
 def test_jitter_is_stddev():
     xs = [1.0, 2.0, 3.0]
     assert jitter(xs) == pytest.approx(stddev(xs))
