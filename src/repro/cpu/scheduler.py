@@ -94,7 +94,10 @@ class PriorityReadyQueues:
     """Multilevel FIFO ready queues indexed by integer priority.
 
     Shared by the NT and SVR4 schedulers.  ``higher_is_better`` priorities:
-    :meth:`pop_best` returns the head of the highest non-empty level.
+    :meth:`pop_best` returns the head of the highest non-empty level.  Bit
+    ``p`` of ``_mask`` is set exactly when level ``p`` is non-empty, so the
+    best level is ``_mask.bit_length() - 1`` rather than a scan of every
+    level.
     """
 
     def __init__(self, levels: int) -> None:
@@ -103,6 +106,7 @@ class PriorityReadyQueues:
         self.levels = levels
         self._queues: List[Deque[Thread]] = [deque() for _ in range(levels)]
         self._count = 0
+        self._mask = 0
 
     def push(self, thread: Thread, *, front: bool = False) -> None:
         """Queue *thread* at its current ``thread.priority`` level."""
@@ -116,30 +120,35 @@ class PriorityReadyQueues:
         else:
             self._queues[priority].append(thread)
         self._count += 1
+        self._mask |= 1 << priority
 
     def pop_best(self) -> Optional[Thread]:
         """Pop the head of the highest-priority non-empty queue."""
-        for priority in range(self.levels - 1, -1, -1):
-            queue = self._queues[priority]
-            if queue:
-                self._count -= 1
-                return queue.popleft()
-        return None
+        mask = self._mask
+        if not mask:
+            return None
+        priority = mask.bit_length() - 1
+        queue = self._queues[priority]
+        thread = queue.popleft()
+        if not queue:
+            self._mask = mask ^ (1 << priority)
+        self._count -= 1
+        return thread
 
     def best_priority(self) -> Optional[int]:
         """Highest priority with a waiting thread, or None if all empty."""
-        for priority in range(self.levels - 1, -1, -1):
-            if self._queues[priority]:
-                return priority
-        return None
+        mask = self._mask
+        return mask.bit_length() - 1 if mask else None
 
     def remove(self, thread: Thread) -> bool:
         """Remove *thread* wherever it is queued.  True if found."""
-        for queue in self._queues:
+        for priority, queue in enumerate(self._queues):
             try:
                 queue.remove(thread)
             except ValueError:
                 continue
+            if not queue:
+                self._mask ^= 1 << priority
             self._count -= 1
             return True
         return False

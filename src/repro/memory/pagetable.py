@@ -44,12 +44,14 @@ class AddressSpace:
 
     def lookup(self, vpn: int) -> Optional[Frame]:
         """The frame holding *vpn*, or None if not resident."""
-        self._check_vpn(vpn)
+        if not 0 <= vpn < self.num_pages:
+            self._check_vpn(vpn)  # raises
         return self._table.get(vpn)
 
     def map(self, vpn: int, frame: Frame) -> None:
         """Install the translation vpn → frame."""
-        self._check_vpn(vpn)
+        if not 0 <= vpn < self.num_pages:
+            self._check_vpn(vpn)  # raises
         if vpn in self._table:
             raise MemoryError_(f"{self.name}: vpn {vpn} already mapped")
         frame.owner = self

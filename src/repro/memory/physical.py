@@ -29,7 +29,7 @@ class Frame:
         self.dirty = False
         self.referenced = False
         self.pinned = False
-        self.free = False  #: tracks free-list membership in O(1)
+        self.free = False  #: on the pool's released-frame stack
 
     @property
     def in_use(self) -> bool:
@@ -41,7 +41,21 @@ class Frame:
 
 
 class FramePool:
-    """A fixed pool of physical frames with a free list."""
+    """A fixed pool of physical frames, created on first use.
+
+    A pool of ``total_frames`` frames creates no :class:`Frame` up front:
+    frame ``i`` is built by the first allocation or pin that needs it, so
+    a large pool that a run only partly touches costs only what it uses.
+    ``frames`` holds the frames created so far, in index order.
+
+    ``_free`` is a LIFO stack of *released* frames only.  A request pops it
+    first and otherwise creates frame ``len(frames)``.  This hands out the
+    same frames in the same order as an eager pool whose free list starts
+    as ``reversed(frames)``: there the never-used frames always form the
+    bottom of the stack in descending index order, so pops yield
+    0, 1, 2, ... until a frame is released, and released frames, pushed on
+    top, come back LIFO before the next never-used one.
+    """
 
     def __init__(self, total_bytes: int, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         if page_size <= 0:
@@ -50,20 +64,18 @@ class FramePool:
             raise MemoryError_("physical memory smaller than one page")
         self.page_size = page_size
         self.total_frames = total_bytes // page_size
-        self.frames: List[Frame] = [Frame(i) for i in range(self.total_frames)]
-        self._free: List[Frame] = list(reversed(self.frames))
-        for frame in self._free:
-            frame.free = True
+        self.frames: List[Frame] = []
+        self._free: List[Frame] = []
 
     @property
     def free_frames(self) -> int:
-        """Frames on the free list."""
-        return len(self._free)
+        """Frames neither allocated nor pinned (created or not)."""
+        return self.total_frames - len(self.frames) + len(self._free)
 
     @property
     def used_frames(self) -> int:
         """Frames allocated or pinned."""
-        return self.total_frames - len(self._free)
+        return len(self.frames) - len(self._free)
 
     def pin(self, nbytes: int) -> int:
         """Permanently reserve *nbytes* (rounded up to whole frames).
@@ -76,21 +88,36 @@ class FramePool:
             raise MemoryError_(
                 f"cannot pin {npages} frames; only {self.free_frames} free"
             )
-        for _ in range(npages):
-            frame = self._free.pop()
+        free = self._free
+        reused = min(npages, len(free))
+        for _ in range(reused):
+            frame = free.pop()
             frame.free = False
             frame.pinned = True
+        frames = self.frames
+        start = len(frames)
+        for index in range(start, start + npages - reused):
+            frame = Frame(index)
+            frame.pinned = True
+            frames.append(frame)
         return npages
 
     def allocate(self) -> Optional[Frame]:
         """Take a free frame, or None if physical memory is exhausted."""
-        if not self._free:
-            return None
-        frame = self._free.pop()
-        frame.free = False
-        frame.dirty = False
-        frame.referenced = False
-        return frame
+        free = self._free
+        if free:
+            frame = free.pop()
+            frame.free = False
+            frame.dirty = False
+            frame.referenced = False
+            return frame
+        frames = self.frames
+        index = len(frames)
+        if index < self.total_frames:
+            frame = Frame(index)
+            frames.append(frame)
+            return frame
+        return None
 
     def release(self, frame: Frame) -> None:
         """Return *frame* to the free list."""

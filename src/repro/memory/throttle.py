@@ -15,7 +15,9 @@ provision to reserve physical memory for interactive processes".
 * **fault-rate throttling** — once free memory falls below
   ``pressure_threshold`` (as a fraction of the pool), each fault by a
   non-interactive process pays an extra ``throttle_ms`` penalty, slowing
-  the stream enough that interactive pages survive.
+  the stream enough that interactive pages survive.  The penalty hooks
+  :meth:`VirtualMemory._fault`, so single touches and streamed
+  ``touch_sequential`` faults are throttled alike.
 
 This is the ablation substrate for ``benchmarks/test_abl_mem_throttle.py``.
 """
@@ -26,7 +28,7 @@ from typing import List, Optional
 
 from .pagetable import AddressSpace
 from .physical import Frame
-from .vm import AccessResult, VirtualMemory
+from .vm import VirtualMemory
 
 
 class ThrottledVirtualMemory(VirtualMemory):
@@ -85,12 +87,13 @@ class ThrottledVirtualMemory(VirtualMemory):
             < self.pool.total_frames * self.pressure_threshold
         )
 
-    def touch(
-        self, space: AddressSpace, vpn: int, *, write: bool = False
-    ) -> AccessResult:
+    def _fault(self, space: AddressSpace, vpn: int, write: bool):
+        # Pressure is sampled before the fault frees or takes any frame, and
+        # the penalty lands after the base class has observed the
+        # unthrottled latency in ``mem.fault_latency_ms``.
         pressured = self.under_pressure
-        result = super().touch(space, vpn, write=write)
-        if result.faulted and pressured and not space.interactive:
+        latency, evicted, mapped = super()._fault(space, vpn, write)
+        if pressured and not space.interactive:
             self.throttled_faults += 1
-            result.latency_ms += self.throttle_ms
-        return result
+            latency += self.throttle_ms
+        return latency, evicted, mapped

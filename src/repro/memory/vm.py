@@ -11,6 +11,13 @@ The latency structure is the paper's (§5.2): while the active data set fits,
 access latency is bounded by the memory hierarchy (modelled as a small
 constant); when physical memory is exhausted, every miss pays a disk
 service time, which dwarfs everything else.
+
+Every miss, whether from :meth:`VirtualMemory.touch` or from a streamed
+:meth:`VirtualMemory.touch_sequential`, runs :meth:`VirtualMemory._fault`:
+it is the single override point for fault-time policy, which is how
+:class:`repro.memory.throttle.ThrottledVirtualMemory` adds its penalty.
+The frame pool creates frames lazily (see :mod:`repro.memory.physical`)
+but hands them out in the same order an eager pool would.
 """
 
 from __future__ import annotations
@@ -122,51 +129,7 @@ class VirtualMemory:
             if self._obs is not None:
                 self._count_hits(1)
             return AccessResult(self.HIT_LATENCY_MS, False, 0, 0)
-
-        # Page fault: bring in vpn plus up to read_cluster-1 following pages.
-        space.faults += 1
-        self.total_faults += 1
-        if self._obs is not None:
-            counter = self._faults_counter
-            if counter is None:
-                counter = self._faults_counter = self._obs.metrics.counter(
-                    "mem.faults"
-                )
-            counter.value += 1
-        latency = 0.0
-        evicted = 0
-        to_read = [vpn]
-        for next_vpn in range(vpn + 1, vpn + self.read_cluster):
-            if next_vpn < space.num_pages and space.lookup(next_vpn) is None:
-                to_read.append(next_vpn)
-            else:
-                break
-
-        mapped = 0
-        for fault_vpn in to_read:
-            frame, evict_latency, evict_count = self._obtain_frame(space)
-            if frame is None:
-                if mapped:
-                    break  # cluster truncated by memory pressure
-                raise MemoryError_(
-                    "out of memory: no free frames and no evictable pages"
-                )
-            latency += evict_latency
-            evicted += evict_count
-            space.map(fault_vpn, frame)
-            if write and fault_vpn == vpn:
-                frame.dirty = True
-            self.policy.insert(frame)
-            mapped += 1
-
-        latency += self.disk.read_ms(mapped)
-        if self._obs is not None:
-            hist = self._fault_latency_hist
-            if hist is None:
-                hist = self._fault_latency_hist = self._obs.metrics.histogram(
-                    "mem.fault_latency_ms"
-                )
-            hist.observe(latency)
+        latency, evicted, mapped = self._fault(space, vpn, write)
         return AccessResult(latency, True, evicted, mapped)
 
     def touch_sequential(
@@ -176,15 +139,18 @@ class VirtualMemory:
 
         Batch-aware: runs of hits are accounted inline — no per-page
         :class:`AccessResult` allocation, one counter update per run —
-        and only faults take the full :meth:`touch` path.  Totals
+        and each miss goes straight to :meth:`_fault`.  Totals
         (``space.hits``, ``total_hits``, the ``mem.hits`` counter) end
         identical to *npages* individual :meth:`touch` calls.
         """
         total = 0.0
         hit_run = 0
         hit_latency = self.HIT_LATENCY_MS
-        lookup = space.lookup
+        # ``vpn % num_pages`` is always in range, so the page table is read
+        # directly rather than through the range-checking ``space.lookup``.
+        lookup = space._table.get
         access = self.policy.access
+        fault = self._fault
         num_pages = space.num_pages
         for vpn in range(start_vpn, start_vpn + npages):
             v = vpn % num_pages
@@ -196,7 +162,7 @@ class VirtualMemory:
                 hit_run += 1
                 total += hit_latency
             else:
-                total += self.touch(space, v, write=write).latency_ms
+                total += fault(space, v, write)[0]
         if hit_run:
             space.hits += hit_run
             self.total_hits += hit_run
@@ -216,22 +182,68 @@ class VirtualMemory:
 
     # -- internals --------------------------------------------------------------
 
-    def _obtain_frame(self, requester: AddressSpace):
-        """A free frame, evicting a victim if necessary.
+    def _fault(self, space: AddressSpace, vpn: int, write: bool):
+        """Page fault on the non-resident *vpn*: bring in its read cluster.
 
-        Returns ``(frame_or_none, writeback_latency_ms, evicted_count)``.
-        Subclasses (throttling) override :meth:`_select_victim`.
+        Maps *vpn* plus the following non-resident pages, up to
+        ``read_cluster`` in all, evicting a victim whenever the pool is
+        empty.  Returns ``(latency_ms, evicted, pages_mapped)``.  This is
+        the one fault path — :meth:`touch` and :meth:`touch_sequential`
+        both end here — and so the single override point for fault-time
+        policy such as throttling.
         """
-        frame = self.pool.allocate()
-        if frame is not None:
-            return frame, 0.0, 0
-        victim = self._select_victim(requester)
-        if victim is None:
-            return None, 0.0, 0
-        latency = self._evict(victim)
-        frame = self.pool.allocate()
-        assert frame is not None
-        return frame, latency, 1
+        space.faults += 1
+        self.total_faults += 1
+        obs = self._obs
+        if obs is not None:
+            counter = self._faults_counter
+            if counter is None:
+                counter = self._faults_counter = obs.metrics.counter("mem.faults")
+            counter.value += 1
+
+        # The cluster is vpn and the non-resident pages right after it.
+        table = space._table
+        end = vpn + self.read_cluster
+        if end > space.num_pages:
+            end = space.num_pages
+        stop = vpn + 1
+        while stop < end and stop not in table:
+            stop += 1
+
+        pool = self.pool
+        insert = self.policy.insert
+        latency = 0.0
+        evicted = 0
+        mapped = 0
+        for fault_vpn in range(vpn, stop):
+            frame = pool.allocate()
+            if frame is None:
+                victim = self._select_victim(space)
+                if victim is None:
+                    if mapped:
+                        break  # cluster truncated by memory pressure
+                    raise MemoryError_(
+                        "out of memory: no free frames and no evictable pages"
+                    )
+                latency += self._evict(victim)
+                evicted += 1
+                frame = pool.allocate()
+                assert frame is not None
+            space.map(fault_vpn, frame)
+            if write and fault_vpn == vpn:
+                frame.dirty = True
+            insert(frame)
+            mapped += 1
+
+        latency += self.disk.read_ms(mapped)
+        if obs is not None:
+            hist = self._fault_latency_hist
+            if hist is None:
+                hist = self._fault_latency_hist = obs.metrics.histogram(
+                    "mem.fault_latency_ms"
+                )
+            hist.observe(latency)
+        return latency, evicted, mapped
 
     def _select_victim(self, requester: AddressSpace) -> Optional[Frame]:
         if len(self.policy) == 0:
